@@ -1,9 +1,9 @@
 // Command snnserve exposes spiking models over HTTP with server-side
 // micro-batching (internal/serve): requests queue up to -batch samples
-// or -wait, whichever comes first, and execute as one batched inference
-// — on a single core the batched TTFS engine amortizes scatter address
-// generation across the batch, which is where the throughput win over
-// per-request inference comes from.
+// or -wait, whichever comes first, and execute as one engine call that
+// runs the batch's samples one after another, sharded across -parallel
+// pool workers. Batching bounds queueing and dispatch overhead per
+// request; each sample still costs one full inference.
 //
 // One process hosts any number of named models (serve.Registry), each
 // with its own queue, workers, and metrics. -model is repeatable and
@@ -69,13 +69,14 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/serve"
+	"repro/internal/snn"
 )
 
 // modelSpec is one parsed -model flag.
 type modelSpec struct {
 	name   string
 	source string // .t2f path or dataset/scale
-	scheme string // ttfs|event|rate|phase|burst
+	scheme string // ttfs|event|quant|rate|phase|burst
 	steps  int    // simulation horizon for non-ttfs schemes
 }
 
@@ -91,7 +92,7 @@ func main() {
 	cache := flag.String("cache", "models", "weight cache directory for dataset builds")
 	scheme := flag.String("scheme", "ttfs", "default serving engine: ttfs|event|rate|phase|burst")
 	steps := flag.Int("steps", 100, "default simulation horizon for non-ttfs schemes")
-	engine := flag.String("engine", "clock", "execution engine for ttfs models: clock (batched reference), event (event-driven with early exit — the latency-mode engine), or quant (fixed-point int8 — the per-core throughput engine)")
+	engine := flag.String("engine", "clock", "execution engine for ttfs models: clock (clocked reference), event (event-driven with early exit — the latency-mode engine), or quant (fixed-point int8 — the per-core throughput engine)")
 	mode := flag.String("mode", "", "default serving mode: latency (direct single-sample path)|throughput (micro-batching queue); empty routes automatically per request")
 	ef := flag.Bool("ef", true, "early firing (ttfs engine)")
 	useGO := flag.Bool("go", false, "apply gradient-based kernel optimization at startup (slower start, better accuracy; dataset builds only)")
@@ -176,9 +177,7 @@ func main() {
 			if spec.scheme == "" {
 				spec.scheme = "ttfs"
 			}
-			switch spec.scheme {
-			case "ttfs", "event", "quant", "rate", "phase", "burst":
-			default:
+			if !validScheme(spec.scheme) {
 				return nil, fmt.Errorf("unknown scheme %q", spec.scheme)
 			}
 			if spec.steps <= 0 {
@@ -192,12 +191,7 @@ func main() {
 				return nil, err
 			}
 			if shared != nil {
-				switch e := eng.(type) {
-				case *serve.TTFSEngine:
-					e.Pool = shared
-				case *serve.SchemeEngine:
-					e.Pool = shared
-				}
+				attachPool(eng, shared)
 			}
 			return eng, nil
 		},
@@ -229,12 +223,7 @@ func main() {
 		}
 		mopt := opt
 		if pool != nil {
-			switch e := eng.(type) {
-			case *serve.TTFSEngine:
-				e.Pool = pool
-			case *serve.SchemeEngine:
-				e.Pool = pool
-			}
+			attachPool(eng, pool)
 			if mopt.Workers == 0 {
 				mopt.Workers = 1
 			}
@@ -282,10 +271,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "snnserve: draining...")
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		reg.BeginDrain()        // unblock open streaming sessions first:
-		//                         Shutdown waits for active handlers, and a
-		//                         stream handler only returns once its
-		//                         server signals drain
+		// Unblock open streaming sessions first: Shutdown waits for
+		// active handlers, and a stream handler only returns once its
+		// server signals drain.
+		reg.BeginDrain()
 		err := hs.Shutdown(ctx) // stop accepting, finish in-flight HTTP
 		reg.Close()             // drain every model's batch queue
 		done <- err
@@ -372,12 +361,32 @@ func parseModelSpec(v, defScheme string, defSteps int) (modelSpec, error) {
 	if len(parts) > 3 {
 		return spec, fmt.Errorf("too many fields in %q (want name=source[:scheme[:steps]])", v)
 	}
-	switch spec.scheme {
-	case "ttfs", "event", "quant", "rate", "phase", "burst":
-	default:
+	if !validScheme(spec.scheme) {
 		return spec, fmt.Errorf("unknown scheme %q in %q", spec.scheme, v)
 	}
 	return spec, nil
+}
+
+// validScheme reports whether a model spec's scheme is servable.
+func validScheme(scheme string) bool {
+	return coreScheme(scheme) || scheme == "rate" || scheme == "phase" || scheme == "burst"
+}
+
+// coreScheme reports whether a scheme is served on a core.Model engine
+// (clocked, event or quant) rather than a coding.Scheme.
+func coreScheme(scheme string) bool {
+	return scheme == "ttfs" || scheme == "event" || scheme == "quant"
+}
+
+// attachPool hands a data-parallel pool to the engines that shard
+// micro-batches across one.
+func attachPool(eng serve.Engine, pool *core.Pool) {
+	switch e := eng.(type) {
+	case *serve.TTFSEngine:
+		e.Pool = pool
+	case *serve.SchemeEngine:
+		e.Pool = pool
+	}
 }
 
 type engineConfig struct {
@@ -414,27 +423,7 @@ func buildEngine(c engineConfig) (serve.Engine, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		switch c.spec.scheme {
-		case "ttfs":
-		case "event":
-			run := core.RunConfig{EarlyFire: c.ef, EarlyExit: true}
-			return &serve.EventEngine{Model: m, Run: run, Faults: inj},
-				fmt.Sprintf("t2fsnn-event %s (T=%d, early exit)", c.spec.source, m.T), nil
-		case "quant":
-			run := core.RunConfig{EarlyFire: c.ef}
-			return &serve.QuantEngine{Model: m, Run: run, Faults: inj},
-				fmt.Sprintf("t2fsnn-quant %s (T=%d, int8)", c.spec.source, m.T), nil
-		default:
-			sch, err := schemeFor(c.spec.scheme)
-			if err != nil {
-				return nil, "", err
-			}
-			return &serve.SchemeEngine{Net: m.Net, Scheme: sch, Steps: c.spec.steps, Faults: inj},
-				fmt.Sprintf("%s over %s (%d steps)", sch.Name(), c.spec.source, c.spec.steps), nil
-		}
-		run := core.RunConfig{EarlyFire: c.ef}
-		return &serve.TTFSEngine{Model: m, Run: run, Faults: inj},
-			fmt.Sprintf("t2fsnn %s (T=%d)", c.spec.source, m.T), nil
+		return newEngine(c, m.Net, m, core.RunConfig{EarlyFire: c.ef}, inj, "t2fsnn", c.spec.source, "")
 	}
 
 	ds, scaleName, ok := strings.Cut(c.spec.source, "/")
@@ -453,14 +442,8 @@ func buildEngine(c engineConfig) (serve.Engine, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-
-	if c.spec.scheme != "ttfs" && c.spec.scheme != "event" && c.spec.scheme != "quant" {
-		sch, err := schemeFor(c.spec.scheme)
-		if err != nil {
-			return nil, "", err
-		}
-		return &serve.SchemeEngine{Net: s.Conv.Net, Scheme: sch, Steps: c.spec.steps, Faults: inj},
-			fmt.Sprintf("%s over %s (%d steps)", sch.Name(), c.spec.source, c.spec.steps), nil
+	if !coreScheme(c.spec.scheme) {
+		return newEngine(c, s.Conv.Net, nil, core.RunConfig{}, inj, "", "", "")
 	}
 
 	var m *core.Model
@@ -472,7 +455,6 @@ func buildEngine(c engineConfig) (serve.Engine, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	run := core.RunConfig{EarlyFire: c.ef, EFStart: p.EFStart()}
 	name := "T2FSNN"
 	if c.useGO {
 		name += "+GO"
@@ -480,17 +462,32 @@ func buildEngine(c engineConfig) (serve.Engine, string, error) {
 	if c.ef {
 		name += "+EF"
 	}
-	if c.spec.scheme == "event" {
+	run := core.RunConfig{EarlyFire: c.ef, EFStart: p.EFStart()}
+	return newEngine(c, s.Conv.Net, m, run, inj, name, "over "+c.spec.source, fmt.Sprintf(", DNN acc %.3f", s.DNNAcc))
+}
+
+// newEngine builds the engine c.spec.scheme names and its description.
+// Core schemes serve m with run, described as "<name>[-event|-quant]
+// <where> (T=…<extra>)"; coding schemes serve net and need no model.
+func newEngine(c engineConfig, net *snn.Net, m *core.Model, run core.RunConfig, inj *fault.Injector, name, where, extra string) (serve.Engine, string, error) {
+	switch c.spec.scheme {
+	case "ttfs":
+		return &serve.TTFSEngine{Model: m, Run: run, Faults: inj},
+			fmt.Sprintf("%s %s (T=%d%s)", name, where, m.T, extra), nil
+	case "event":
 		run.EarlyExit = true
 		return &serve.EventEngine{Model: m, Run: run, Faults: inj},
-			fmt.Sprintf("%s-event over %s (T=%d, early exit, DNN acc %.3f)", name, c.spec.source, m.T, s.DNNAcc), nil
-	}
-	if c.spec.scheme == "quant" {
+			fmt.Sprintf("%s-event %s (T=%d, early exit%s)", name, where, m.T, extra), nil
+	case "quant":
 		return &serve.QuantEngine{Model: m, Run: run, Faults: inj},
-			fmt.Sprintf("%s-quant over %s (T=%d, int8, DNN acc %.3f)", name, c.spec.source, m.T, s.DNNAcc), nil
+			fmt.Sprintf("%s-quant %s (T=%d, int8%s)", name, where, m.T, extra), nil
 	}
-	return &serve.TTFSEngine{Model: m, Run: run, Faults: inj},
-		fmt.Sprintf("%s over %s (T=%d, DNN acc %.3f)", name, c.spec.source, m.T, s.DNNAcc), nil
+	sch, err := schemeFor(c.spec.scheme)
+	if err != nil {
+		return nil, "", err
+	}
+	return &serve.SchemeEngine{Net: net, Scheme: sch, Steps: c.spec.steps, Faults: inj},
+		fmt.Sprintf("%s over %s (%d steps)", sch.Name(), c.spec.source, c.spec.steps), nil
 }
 
 func schemeFor(name string) (coding.Scheme, error) {

@@ -40,7 +40,7 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // CoreScratch returns the scratch's core.InferScratch, creating it on
-// first use — the TTFS adapter threads it into core.Model.InferWith.
+// first use — the TTFS adapter threads it into core.Model.InferOne.
 func (sc *Scratch) CoreScratch(m *core.Model) *core.InferScratch {
 	if sc.core == nil {
 		sc.core = core.NewInferScratch(m)

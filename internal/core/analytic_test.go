@@ -97,7 +97,9 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Evaluate(m, batch, fixture.labels[:60], EvalOptions{Workers: 4})
+	pool := NewPool(ParallelOpts{Workers: 4})
+	defer pool.Close()
+	par, err := Evaluate(m, batch, fixture.labels[:60], EvalOptions{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}

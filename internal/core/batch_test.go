@@ -8,14 +8,18 @@ import (
 	"repro/internal/fault"
 )
 
-// sameResult pins bit-identity between a batched and a per-sample
-// result: predictions, spike counts, potentials, timelines, spike
-// times, and events must all match exactly.
+// sameResult pins bit-identity between two results: predictions, spike
+// counts, potentials, timelines, spike times, events, and the early-exit
+// bookkeeping must all match exactly.
 func sameResult(t *testing.T, tag string, got, want Result) {
 	t.Helper()
 	if got.Pred != want.Pred || got.Latency != want.Latency || got.TotalSpikes != want.TotalSpikes {
 		t.Fatalf("%s: pred/latency/spikes (%d,%d,%d) != (%d,%d,%d)",
 			tag, got.Pred, got.Latency, got.TotalSpikes, want.Pred, want.Latency, want.TotalSpikes)
+	}
+	if got.EarlyExit != want.EarlyExit || got.StepsSaved != want.StepsSaved || got.EventsSaved != want.EventsSaved {
+		t.Fatalf("%s: early exit (%v,%d,%d) != (%v,%d,%d)", tag,
+			got.EarlyExit, got.StepsSaved, got.EventsSaved, want.EarlyExit, want.StepsSaved, want.EventsSaved)
 	}
 	if len(got.Spikes) != len(want.Spikes) {
 		t.Fatalf("%s: spike boundaries %d != %d", tag, len(got.Spikes), len(want.Spikes))
@@ -70,9 +74,9 @@ func sameResult(t *testing.T, tag string, got, want Result) {
 	}
 }
 
-// TestInferBatchMatchesInfer pins the serving-layer contract: batched
-// execution is bit-identical to the per-sample reference path, under
-// every pipeline variant and collection flag.
+// TestInferBatchMatchesInfer pins the serving-layer contract: InferMany
+// is bit-identical to the per-sample reference path, under every
+// pipeline variant and collection flag.
 func TestInferBatchMatchesInfer(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -89,7 +93,7 @@ func TestInferBatchMatchesInfer(t *testing.T) {
 		{EarlyFire: true, CollectTimeline: true},
 	}
 	for ci, cfg := range configs {
-		batch := m.InferBatch(inputs, cfg, nil)
+		batch := m.InferMany(inputs, cfg, InferOpts{})
 		if len(batch) != n {
 			t.Fatalf("cfg %d: %d results for %d inputs", ci, len(batch), n)
 		}
@@ -99,8 +103,8 @@ func TestInferBatchMatchesInfer(t *testing.T) {
 	}
 }
 
-// Batched execution must route each sample's own fault stream exactly as
-// the per-sample path does.
+// InferMany must route each sample's own fault stream exactly as the
+// per-sample path does.
 func TestInferBatchMatchesInferUnderFaults(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -117,7 +121,7 @@ func TestInferBatchMatchesInferUnderFaults(t *testing.T) {
 	}
 	streams[3] = nil // mixed batch: one sample without injection
 	cfg := RunConfig{EarlyFire: true, CollectTimeline: true}
-	batch := m.InferBatch(inputs, cfg, streams)
+	batch := m.InferMany(inputs, cfg, InferOpts{Faults: streams})
 	for i, input := range inputs {
 		ref := cfg
 		ref.Faults = streams[i]
@@ -125,26 +129,10 @@ func TestInferBatchMatchesInferUnderFaults(t *testing.T) {
 	}
 }
 
-// Chunking must be invisible: a batch larger than the 64-sample mask
-// width produces the same results as the per-sample path.
-func TestInferBatchChunksLargeBatches(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	const n = 70
-	inputs := make([][]float64, n)
-	for i := range inputs {
-		inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
-	}
-	batch := m.InferBatch(inputs, RunConfig{EarlyFire: true}, nil)
-	for _, i := range []int{0, 63, 64, 69} {
-		sameResult(t, fmt.Sprintf("chunked sample %d", i), batch[i], m.Infer(inputs[i], RunConfig{EarlyFire: true}))
-	}
-}
-
 func TestInferBatchEmptyAndValidation(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
-	if got := m.InferBatch(nil, RunConfig{}, nil); len(got) != 0 {
+	if got := m.InferMany(nil, RunConfig{}, InferOpts{}); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 	defer func() {
@@ -152,10 +140,59 @@ func TestInferBatchEmptyAndValidation(t *testing.T) {
 			t.Fatal("mismatched fault slice accepted")
 		}
 	}()
-	m.InferBatch(make([][]float64, 2), RunConfig{}, make([]*fault.Stream, 3))
+	m.InferMany(make([][]float64, 2), RunConfig{}, InferOpts{Faults: make([]*fault.Stream, 3)})
 }
 
-// BenchmarkInferBatch measures the serial batch path in its serving
+// TestInferManyMatchesInferOne pins InferMany as nothing but InferOne
+// in a loop: on every engine, sequential or sharded over pools of any
+// size, with and without faults (threshold noise included, which sends
+// the event engine down its clocked fallback), with and without early
+// firing, every sample's result is bit-identical to a fresh-scratch
+// InferOne of that sample.
+func TestInferManyMatchesInferOne(t *testing.T) {
+	loadFixture(t)
+	m := fixture.model()
+	inj, err := fault.New(fault.Config{Seed: 13, Drop: 0.1, Jitter: 2, StuckSilent: 0.03, ThresholdNoise: 0.08})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 11
+	engines := []struct {
+		name string
+		kind EngineKind
+	}{{"clocked", EngineClocked}, {"event", EngineEvent}, {"quant", EngineQuant}}
+	for _, workers := range []int{0, 1, 2, 4} {
+		var p *Pool // 0 workers: no pool
+		if workers > 0 {
+			p = NewPool(ParallelOpts{Workers: workers})
+		}
+		for _, eng := range engines {
+			for _, faulted := range []bool{false, true} {
+				var fi *fault.Injector
+				if faulted {
+					fi = inj
+				}
+				inputs, streams := parallelInputs(t, n, fi)
+				for _, ef := range []bool{false, true} {
+					cfg := RunConfig{EarlyFire: ef, EarlyExit: true}
+					got := m.InferMany(inputs, cfg, InferOpts{Pool: p, Faults: streams, Engine: eng.kind})
+					if len(got) != n {
+						t.Fatalf("%d results for %d inputs", len(got), n)
+					}
+					for i, in := range inputs {
+						one := cfg
+						one.Faults = streams[i]
+						tag := fmt.Sprintf("%s workers=%d faults=%v ef=%v sample %d", eng.name, workers, faulted, ef, i)
+						sameResult(t, tag, got[i], m.InferOne(in, one, InferOpts{Engine: eng.kind}))
+					}
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// BenchmarkInferBatch measures sequential InferMany in its serving
 // configuration: scratch and the model's scatter plan warmed before the
 // timer, so allocs/op pins 0 and benchdiff can gate regressions on this
 // path the same way it gates the parallel and event benchmarks.

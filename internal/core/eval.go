@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/fault"
 	"repro/internal/metrics"
@@ -72,15 +71,11 @@ type EvalOptions struct {
 	CurveStride int
 	// CollectStats enables the per-stage spike-time statistics.
 	CollectStats bool
-	// Workers runs samples concurrently (Infer only reads the model,
-	// so a Model is safe to share). 0 or 1 = sequential; negative =
-	// one worker per GOMAXPROCS; values above the sample count clamp.
-	// Ignored when Pool is set.
-	Workers int
-	// Pool runs the sweep on a shared worker pool with chunk-granularity
-	// work stealing instead of spinning up per-call goroutines. Results
+	// Pool runs the sweep on a worker pool with chunk-granularity work
+	// stealing (inference only reads the model, so a Model is safe to
+	// share); nil or a single-worker pool runs it sequentially. Results
 	// are identical either way: samples are aggregated in order after
-	// all inferences finish. Overrides Workers when non-nil.
+	// all inferences finish.
 	Pool *Pool
 	// Faults evaluates under fault injection: sample i runs with the
 	// stream Faults.Sample(i). Streams are pure functions of
@@ -137,8 +132,8 @@ func EvaluateContext(ctx context.Context, m *Model, x *tensor.Tensor, labels []i
 	}
 	res.Confusion = conf
 
-	// run all inferences (optionally across workers; Infer only reads
-	// the shared model), then aggregate deterministically in order
+	// run all inferences (optionally across pool workers; inference only
+	// reads the shared model), then aggregate deterministically in order
 	results := make([]Result, n)
 	errs := make([]error, n)
 	inferOne := func(i int) {
@@ -153,40 +148,14 @@ func EvaluateContext(ctx context.Context, m *Model, x *tensor.Tensor, labels []i
 		cfg.Faults = opts.Faults.Sample(i)
 		results[i] = m.InferOne(x.Data[i*sampleLen:(i+1)*sampleLen], cfg, InferOpts{Engine: opts.Engine})
 	}
-	pool := opts.Pool
-	if pool == nil {
-		workers := opts.Workers
-		if workers < 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > n {
-			workers = n
-		}
-		if workers > 1 {
-			// ad-hoc pool for this call; chunk claiming replaces the old
-			// per-sample channel feed
-			tmp := NewPool(ParallelOpts{Workers: workers})
-			defer tmp.Close()
-			pool = tmp
-		}
-	}
-	if pool.Workers() > 1 {
-		pool.Each(n, evalChunk(n, pool.Workers()), func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				inferOne(i)
-			}
-		})
-	} else {
-		for i := 0; i < n; i++ {
+	opts.Pool.Each(n, evalChunk(n, opts.Pool.Workers()), func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
 			if ctx.Err() != nil {
-				break
+				return
 			}
 			inferOne(i)
 		}
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		return EvalResult{}, err
 	}

@@ -8,52 +8,17 @@ import (
 	"repro/internal/snn"
 )
 
-// InferEvent runs the same pipeline as Infer with an event-driven
-// engine: instead of sweeping every neuron against the threshold at
-// every time step (O(T·N) per layer), it keeps a bucket queue of
-// candidate fire times that is re-validated only for neurons an arrival
-// actually touched. Semantics are identical to
-// the clocked engine — including arrival-before-threshold ordering
-// within a step and non-guaranteed integration under early firing — and
-// the equivalence is enforced by property tests and VerifyEnginesEvent.
-//
-// The event engine wins when spikes are sparse relative to T·N (the
-// regime TTFS coding creates by construction); the clocked engine wins
-// on dense traffic. BenchmarkEngineEvent quantifies the trade.
-//
-// Deprecated: use InferOne with InferOpts{Engine: EngineEvent}.
-func (m *Model) InferEvent(input []float64, cfg RunConfig) Result {
-	return m.InferOne(input, cfg, InferOpts{Engine: EngineEvent})
-}
-
-// InferEventWith is InferEvent against an explicit scratch arena: the
-// candidate queue, version/touched bookkeeping, potentials, and the
-// returned Result's Spikes/Potentials all come from sc, so the
-// steady-state call allocates nothing (pinned by
-// TestInferEventWithZeroAllocs). A nil sc falls back to a fresh
-// single-use scratch; results are bit-identical either way (commits
-// depend only on candidate steps and versions, never on queue order
-// among distinct neurons). The usual scratch aliasing contract applies.
-//
-// Deprecated: use InferOne with InferOpts{Scratch: sc, Engine: EngineEvent}.
-func (m *Model) InferEventWith(sc *InferScratch, input []float64, cfg RunConfig) Result {
-	return m.InferOne(input, cfg, InferOpts{Scratch: sc, Engine: EngineEvent})
-}
-
-// inferEvent is the event engine's entry: scratch setup, then the
-// event-driven pipeline.
-func (m *Model) inferEvent(sc *InferScratch, input []float64, cfg RunConfig) Result {
-	if sc == nil {
-		sc = NewInferScratch(m)
-	} else {
-		sc.ensure(m)
-	}
-	sc.reset()
-	return m.inferEventBody(sc, input, cfg)
-}
-
 // inferEventBody runs the event-driven pipeline on a prepared scratch
-// without rewinding its arenas (see inferClockedBody).
+// without rewinding its arenas (see inferClockedBody). Instead of
+// sweeping every neuron against the threshold at every time step
+// (O(T·N) per layer), it keeps a bucket queue of candidate fire times
+// that is re-validated only for neurons an arrival actually touched.
+// Semantics are identical to the clocked engine — including
+// arrival-before-threshold ordering within a step and non-guaranteed
+// integration under early firing — and the equivalence is enforced by
+// property tests and VerifyEnginesEvent. Commits depend only on
+// candidate steps and versions, never on queue order among distinct
+// neurons, so scratch reuse is bit-exact.
 func (m *Model) inferEventBody(sc *InferScratch, input []float64, cfg RunConfig) Result {
 	if len(input) != m.Net.InLen {
 		panic(fmt.Sprintf("core: input length %d, want %d", len(input), m.Net.InLen))

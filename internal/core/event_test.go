@@ -70,8 +70,8 @@ func TestEventEngineInhibitoryCancellation(t *testing.T) {
 
 // TestInferEventWithMatchesFresh pins scratch reuse on the event
 // engine: one scratch carried across samples and configs (interleaved
-// with clocked InferWith calls on the same scratch) stays bit-identical
-// to nil-scratch InferEvent.
+// with clocked calls on the same scratch) stays bit-identical to a
+// nil-scratch event InferOne.
 func TestInferEventWithMatchesFresh(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -79,10 +79,10 @@ func TestInferEventWithMatchesFresh(t *testing.T) {
 	for ci, cfg := range []RunConfig{{}, {EarlyFire: true}, {EarlyFire: true, EFStart: 13}, {CollectSpikeTimes: true}} {
 		for i := 0; i < 6; i++ {
 			in := fixture.x.Data[i*256 : (i+1)*256]
-			got := m.InferEventWith(sc, in, cfg)
-			sameResult(t, fmt.Sprintf("cfg %d sample %d", ci, i), got, m.InferEvent(in, cfg))
+			got := m.InferOne(in, cfg, InferOpts{Scratch: sc, Engine: EngineEvent})
+			sameResult(t, fmt.Sprintf("cfg %d sample %d", ci, i), got, m.InferOne(in, cfg, InferOpts{Engine: EngineEvent}))
 			// the clocked engine shares the scratch without interference
-			clocked := m.InferWith(sc, in, cfg)
+			clocked := m.InferOne(in, cfg, InferOpts{Scratch: sc})
 			sameResult(t, fmt.Sprintf("cfg %d sample %d clocked", ci, i), clocked, m.Infer(in, cfg))
 		}
 	}
@@ -97,9 +97,9 @@ func TestInferEventWithZeroAllocs(t *testing.T) {
 	in := fixture.x.Data[:256]
 	for _, cfg := range []RunConfig{{}, {EarlyFire: true}} {
 		cfg := cfg
-		m.InferEventWith(sc, in, cfg) // warm plan + arenas + heap
-		if n := testing.AllocsPerRun(20, func() { m.InferEventWith(sc, in, cfg) }); n != 0 {
-			t.Errorf("InferEventWith(earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
+		m.InferOne(in, cfg, InferOpts{Scratch: sc, Engine: EngineEvent}) // warm plan + arenas + heap
+		if n := testing.AllocsPerRun(20, func() { m.InferOne(in, cfg, InferOpts{Scratch: sc, Engine: EngineEvent}) }); n != 0 {
+			t.Errorf("event InferOne(earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
 		}
 	}
 }
@@ -110,7 +110,7 @@ func BenchmarkEngineEventBaseline(b *testing.B) {
 	in := fixture.x.Data[:256]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.InferEvent(in, RunConfig{})
+		m.InferOne(in, RunConfig{}, InferOpts{Engine: EngineEvent})
 	}
 }
 
@@ -120,7 +120,7 @@ func BenchmarkEngineEventEF(b *testing.B) {
 	in := fixture.x.Data[:256]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.InferEvent(in, RunConfig{EarlyFire: true})
+		m.InferOne(in, RunConfig{EarlyFire: true}, InferOpts{Engine: EngineEvent})
 	}
 }
 

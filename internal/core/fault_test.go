@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/tensor"
@@ -72,19 +74,14 @@ func TestEvaluateFaultedIndependentOfWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := evalSubset(t, m, 40, EvalOptions{Faults: inj})
-	par := evalSubset(t, m, 40, EvalOptions{Faults: inj, Workers: 4})
-	neg := evalSubset(t, m, 40, EvalOptions{Faults: inj, Workers: -1}) // default to GOMAXPROCS
-	if seq.Accuracy != par.Accuracy || seq.AvgSpikes != par.AvgSpikes {
-		t.Fatalf("worker count changed faulted result: %.4f/%.0f vs %.4f/%.0f",
-			seq.Accuracy, seq.AvgSpikes, par.Accuracy, par.AvgSpikes)
-	}
-	if seq.Accuracy != neg.Accuracy || seq.AvgSpikes != neg.AvgSpikes {
-		t.Fatalf("negative Workers changed faulted result")
-	}
-	// repeat run is bit-identical (seeded determinism)
-	again := evalSubset(t, m, 40, EvalOptions{Faults: inj, Workers: 3})
-	if seq.Accuracy != again.Accuracy || seq.AvgSpikes != again.AvgSpikes {
-		t.Fatal("faulted evaluation not reproducible")
+	for _, workers := range []int{4, -1, 3} { // -1: one per GOMAXPROCS
+		pool := NewPool(ParallelOpts{Workers: workers})
+		par := evalSubset(t, m, 40, EvalOptions{Faults: inj, Pool: pool})
+		pool.Close()
+		if seq.Accuracy != par.Accuracy || seq.AvgSpikes != par.AvgSpikes {
+			t.Fatalf("workers=%d changed faulted result: %.4f/%.0f vs %.4f/%.0f",
+				workers, seq.Accuracy, seq.AvgSpikes, par.Accuracy, par.AvgSpikes)
+		}
 	}
 }
 
@@ -115,8 +112,10 @@ func TestEvaluateRecoversPanickingSamples(t *testing.T) {
 	broken := &Model{Net: fault.PerturbWeights(m.Net, 0.0001, 1), K: m.K, T: m.T} // deep-enough copy of stages
 	st := &broken.Net.Stages[len(broken.Net.Stages)-1]
 	st.W = tensor.FromSlice(append([]float64(nil), st.W.Data[:4]...), 4)
+	pool := NewPool(ParallelOpts{Workers: 2})
+	defer pool.Close()
 	res, err := Evaluate(broken, tensor.FromSlice(fixture.x.Data[:10*256], 10, 256),
-		fixture.labels[:10], EvalOptions{Workers: 2})
+		fixture.labels[:10], EvalOptions{Pool: pool})
 	if err != nil {
 		t.Fatalf("sweep died instead of recording sample errors: %v", err)
 	}
@@ -140,22 +139,34 @@ func TestEvaluateContextCancellation(t *testing.T) {
 	if _, err := EvaluateContext(ctx, m, x, fixture.labels[:10], EvalOptions{}); err == nil {
 		t.Fatal("cancelled context accepted")
 	}
-	if _, err := EvaluateContext(ctx, m, x, fixture.labels[:10], EvalOptions{Workers: 4}); err == nil {
+	pool := NewPool(ParallelOpts{Workers: 4})
+	defer pool.Close()
+	if _, err := EvaluateContext(ctx, m, x, fixture.labels[:10], EvalOptions{Pool: pool}); err == nil {
 		t.Fatal("cancelled context accepted (parallel path)")
 	}
 }
 
-// Workers larger than the sample count must clamp, not leak goroutines
-// or misbehave.
+// A pool with more workers than samples must engage only as many as
+// there are samples, and leave no goroutine behind once closed.
 func TestEvaluateWorkerClamp(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
-	res := evalSubset(t, m, 3, EvalOptions{Workers: 64})
+	before := runtime.NumGoroutine()
+	pool := NewPool(ParallelOpts{Workers: 64})
+	res := evalSubset(t, m, 3, EvalOptions{Pool: pool})
+	pool.Close()
 	if res.N != 3 {
 		t.Fatalf("N = %d, want 3", res.N)
 	}
 	seq := evalSubset(t, m, 3, EvalOptions{})
-	if res.Accuracy != seq.Accuracy {
+	if res.Accuracy != seq.Accuracy || res.AvgSpikes != seq.AvgSpikes {
 		t.Fatal("clamped parallel run differs from sequential")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -11,8 +11,7 @@ type EngineKind int
 
 const (
 	// EngineClocked sweeps every neuron against the threshold at every
-	// step — the reference engine, and the fastest at batch ≥ 2 where
-	// the scatter-row amortization of the batched pipeline applies.
+	// step — the reference engine the other two are checked against.
 	EngineClocked EngineKind = iota
 	// EngineEvent processes analytically predicted fire events instead
 	// of sweeping steps. Results are bit-identical to EngineClocked
@@ -36,7 +35,7 @@ const (
 // InferOpts carries the execution options shared by every inference
 // entry point: the scratch arena, per-sample fault streams, the worker
 // pool, and the engine choice. The zero value means "fresh scratch, no
-// faults, sequential, clocked" and reproduces Infer/InferBatch exactly.
+// faults, sequential, clocked" and reproduces Infer exactly.
 type InferOpts struct {
 	// Scratch is the reusable working set; results alias it (see
 	// InferScratch). Nil allocates a fresh single-use scratch.
@@ -44,13 +43,13 @@ type InferOpts struct {
 	// Faults holds one per-sample fault stream per input for InferMany
 	// (nil entries inject nothing); nil injects nothing. InferOne takes
 	// its single stream in RunConfig.Faults instead and panics when
-	// this field is set, mirroring the historical InferBatch contract.
+	// this field is set.
 	Faults []*fault.Stream
-	// Pool runs InferMany's batch data-parallel (one chunk per claimed
-	// worker, bit-identical at any worker count). Nil or single-worker
-	// pools run sequentially. Ignored by EngineEvent, whose per-sample
-	// loop exists for verification rather than throughput, and by
-	// InferOne.
+	// Pool shards InferMany's per-sample loop across the pool's workers,
+	// each on its own scratch, for every engine (bit-identical at any
+	// worker count). When set it replaces Scratch; a single-worker or
+	// closed pool runs the loop sequentially on its first worker's
+	// scratch. Ignored by InferOne.
 	Pool *Pool
 	// Engine selects the execution engine (default EngineClocked).
 	Engine EngineKind
@@ -58,36 +57,25 @@ type InferOpts struct {
 
 // InferOne runs one input (flattened [C,H,W], values in [0,1]) through
 // the T2FSNN pipeline on the selected engine. It is the canonical
-// single-sample entry point; Infer, InferWith, InferEvent, and
-// InferEventWith are thin wrappers over it.
+// single-sample entry point; Infer is a thin wrapper over it.
 //
 // The sample's fault stream travels in cfg.Faults; opts.Faults (the
-// per-sample slice of the batch path) must be nil.
+// per-sample slice of InferMany) must be nil.
 func (m *Model) InferOne(input []float64, cfg RunConfig, opts InferOpts) Result {
 	if opts.Faults != nil {
 		panic("core: InferOne takes the sample's fault stream in cfg.Faults, not opts.Faults")
 	}
-	switch opts.Engine {
-	case EngineEvent:
-		return m.inferEvent(opts.Scratch, input, cfg)
-	case EngineQuant:
-		return m.inferQuant(opts.Scratch, input, cfg)
-	}
-	return m.inferClocked(opts.Scratch, input, cfg)
+	return m.inferBody(m.prepare(opts.Scratch), input, cfg, opts.Engine)
 }
 
 // InferMany runs a batch of inputs and returns one Result per input,
 // each bit-identical to InferOne(inputs[i], cfg with Faults=faults[i])
-// on the same engine. It is the canonical batch entry point; InferBatch,
-// InferBatchWith, and InferBatchParallel are thin wrappers over it.
+// on the same engine: it is the same per-sample engine body run in a
+// loop, sharded over opts.Pool's workers when the pool has several.
 //
 // Per-sample fault streams travel in opts.Faults (nil, or one entry per
-// input); cfg.Faults must be nil. With EngineClocked a multi-worker
-// opts.Pool shards the batch across workers; EngineEvent and
-// EngineQuant run the samples sequentially on one scratch (per-sample
-// loops — their value is single-sample latency, not pooled batch
-// throughput), ignoring opts.Pool.
-// Results alias the scratch (or pool) arenas per the usual contract.
+// input); cfg.Faults must be nil. Results alias the scratch (or pool)
+// arenas per the usual contract.
 func (m *Model) InferMany(inputs [][]float64, cfg RunConfig, opts InferOpts) []Result {
 	if cfg.Faults != nil {
 		panic("core: InferMany takes per-sample fault streams in opts.Faults, not cfg.Faults")
@@ -95,35 +83,47 @@ func (m *Model) InferMany(inputs [][]float64, cfg RunConfig, opts InferOpts) []R
 	if opts.Faults != nil && len(opts.Faults) != len(inputs) {
 		panic(fmt.Sprintf("core: %d fault streams for %d inputs", len(opts.Faults), len(inputs)))
 	}
-	if opts.Engine == EngineEvent {
-		return m.inferManyEvent(opts.Scratch, inputs, cfg, opts.Faults)
-	}
-	if opts.Engine == EngineQuant {
-		return m.inferManyQuant(opts.Scratch, inputs, cfg, opts.Faults)
-	}
 	if opts.Pool != nil {
-		return m.inferParallel(opts.Pool, inputs, cfg, opts.Faults)
+		return opts.Pool.inferMany(m, inputs, cfg, opts.Faults, opts.Engine)
 	}
-	return m.inferBatch(opts.Scratch, inputs, cfg, opts.Faults)
+	sc := m.prepare(opts.Scratch)
+	res := sc.takeResults(len(inputs))
+	m.inferRange(sc, inputs, cfg, opts.Faults, opts.Engine, res)
+	return res
 }
 
-// inferManyEvent is the event engine's batch loop: one scratch, one
-// arena rewind, then per-sample event runs whose Results all stay valid
-// until the next top-level call on the scratch.
-func (m *Model) inferManyEvent(sc *InferScratch, inputs [][]float64, cfg RunConfig, faults []*fault.Stream) []Result {
+// prepare readies a scratch for one top-level call: grown to fit m with
+// its result arenas rewound, or a fresh one when sc is nil.
+func (m *Model) prepare(sc *InferScratch) *InferScratch {
 	if sc == nil {
-		sc = NewInferScratch(m)
-	} else {
-		sc.ensure(m)
+		return NewInferScratch(m)
 	}
+	sc.ensure(m)
 	sc.reset()
-	res := sc.takeResults(len(inputs))
+	return sc
+}
+
+// inferRange runs the engine body once per input on a prepared scratch,
+// writing res[i] for inputs[i] with faults[i] (when faults is non-nil).
+// Every Result stays valid until the next top-level call on sc.
+func (m *Model) inferRange(sc *InferScratch, inputs [][]float64, cfg RunConfig, faults []*fault.Stream, kind EngineKind, res []Result) {
 	for i, input := range inputs {
 		c := cfg
 		if faults != nil {
 			c.Faults = faults[i]
 		}
-		res[i] = m.inferEventBody(sc, input, c)
+		res[i] = m.inferBody(sc, input, c, kind)
 	}
-	return res
+}
+
+// inferBody runs one sample on the selected engine against a prepared
+// scratch without rewinding its arenas.
+func (m *Model) inferBody(sc *InferScratch, input []float64, cfg RunConfig, kind EngineKind) Result {
+	switch kind {
+	case EngineEvent:
+		return m.inferEventBody(sc, input, cfg)
+	case EngineQuant:
+		return m.inferQuantBody(sc, input, cfg)
+	}
+	return m.inferClockedBody(sc, input, cfg)
 }

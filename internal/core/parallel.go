@@ -8,38 +8,18 @@ import (
 	"repro/internal/fault"
 )
 
-// minParChunk is the smallest chunk the parallel planner will cut. Below
-// this the per-chunk fixed costs (decode LUT fill, per-offset spike
-// grouping) and the lost scatter-row amortization outweigh what another
-// core can win back.
-const minParChunk = 8
-
-// ParallelOpts tunes the data-parallel batch path (NewPool).
+// ParallelOpts configures a worker pool (NewPool).
 type ParallelOpts struct {
 	// Workers is the number of pool workers; 0 or negative means one per
 	// GOMAXPROCS.
 	Workers int
-	// MinChunksPerWorker is how many chunks each engaged worker should
-	// get before the planner cuts chunks smaller than the 64-sample mask
-	// width (default 1). Larger values trade scatter-row amortization for
-	// finer work-stealing granularity.
-	MinChunksPerWorker int
 }
 
-// poolCall is one parallel invocation: either a generic index-range
-// function (fn != nil) or a batched inference (m != nil). It is owned by
-// the pool and reused across calls so the steady-state parallel hot path
-// allocates nothing.
+// poolCall is one parallel invocation of an index-range function. It is
+// owned by the pool and reused across calls so the steady-state parallel
+// hot path allocates nothing.
 type poolCall struct {
-	// generic mode
 	fn func(lo, hi, worker int)
-
-	// batch mode
-	m      *Model
-	inputs [][]float64
-	cfg    RunConfig
-	faults []*fault.Stream
-	res    []Result
 
 	n       int // total items
 	chunk   int // items per claimed chunk
@@ -52,16 +32,39 @@ type poolCall struct {
 	wg sync.WaitGroup
 }
 
-// Pool is a bounded worker pool for data-parallel execution: batched
-// inference sharded at chunk granularity (InferBatchParallel) and
-// generic index-range fan-out (Each, used by Evaluate and the coding
-// sweeps). Each worker owns one InferScratch, so the batched hot path
-// stays at zero steady-state allocations per worker; the shared
-// scatter plan on the model is read lock-free by every worker.
+// manyCall describes one pooled InferMany. The pool owns it and binds
+// its run method once (Pool.manyFn), so dispatching a batch through the
+// generic poolCall allocates nothing.
+type manyCall struct {
+	m      *Model
+	inputs [][]float64
+	cfg    RunConfig
+	faults []*fault.Stream
+	kind   EngineKind
+	res    []Result
+
+	scr []*InferScratch // the pool's per-worker scratches
+}
+
+// run infers samples [lo, hi) on worker w's scratch.
+func (c *manyCall) run(lo, hi, w int) {
+	var fs []*fault.Stream
+	if c.faults != nil {
+		fs = c.faults[lo:hi]
+	}
+	c.m.inferRange(c.scr[w], c.inputs[lo:hi], c.cfg, fs, c.kind, c.res[lo:hi])
+}
+
+// Pool is a bounded worker pool for data-parallel execution: generic
+// index-range fan-out (Each, used by Evaluate, the coding sweeps and
+// SchemeEngine) and InferMany's per-sample loop (InferOpts.Pool). Each
+// worker owns one InferScratch, so pooled InferMany stays at zero
+// steady-state allocations per worker; the shared scatter plans on the
+// model are read lock-free by every worker.
 //
 // Calls are serialized internally (one parallel call runs at a time),
 // so concurrent Each calls are safe: their results flow through fn.
-// Concurrent InferBatchParallel callers need one extra rule — returned
+// Concurrent pooled InferMany callers need one extra rule — returned
 // results alias pool memory and are overwritten by the next call, so
 // callers sharing a pool must consume (copy out of) results under their
 // own lock before another call can start; internal/serve's TTFSEngine
@@ -70,8 +73,7 @@ type poolCall struct {
 //
 // A nil *Pool is accepted everywhere and means "run sequentially".
 type Pool struct {
-	workers   int
-	minChunks int
+	workers int
 
 	mu      sync.Mutex // serializes calls, guards state below
 	started bool
@@ -80,8 +82,10 @@ type Pool struct {
 	scr     []*InferScratch
 	results []Result
 	call    poolCall
+	many    manyCall
+	manyFn  func(lo, hi, worker int) // many.run, bound once in NewPool
 
-	chunks atomic.Uint64 // cumulative chunks dispatched (all modes)
+	chunks atomic.Uint64 // cumulative chunks dispatched
 }
 
 // NewPool builds a pool. Worker goroutines start lazily on the first
@@ -91,15 +95,13 @@ func NewPool(opts ParallelOpts) *Pool {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	mc := opts.MinChunksPerWorker
-	if mc <= 0 {
-		mc = 1
-	}
-	p := &Pool{workers: w, minChunks: mc}
+	p := &Pool{workers: w}
 	p.scr = make([]*InferScratch, w)
 	for i := range p.scr {
 		p.scr[i] = &InferScratch{}
 	}
+	p.many.scr = p.scr
+	p.manyFn = p.many.run
 	return p
 }
 
@@ -170,14 +172,6 @@ func (p *Pool) serve(c *poolCall, wid int) {
 			c.next.Store(int64(c.nChunks)) // cancel remaining chunks
 		}
 	}()
-	if c.fn == nil {
-		// Batched mode: prepare this worker's scratch once per call. The
-		// arena rewinds exactly once, so every chunk this worker claims
-		// lands in fresh arena space.
-		sc := p.scr[wid]
-		sc.ensure(c.m)
-		sc.reset()
-	}
 	for {
 		i := int(c.next.Add(1)) - 1
 		if i >= c.nChunks {
@@ -188,81 +182,27 @@ func (p *Pool) serve(c *poolCall, wid int) {
 		if hi > c.n {
 			hi = c.n
 		}
-		if c.fn != nil {
-			c.fn(lo, hi, wid)
-			continue
-		}
-		sc := p.scr[wid]
-		sc.ensureBatch(hi - lo)
-		var fs []*fault.Stream
-		if c.faults != nil {
-			fs = c.faults[lo:hi]
-		}
-		c.m.inferChunk(sc, c.inputs[lo:hi], c.cfg, fs, c.res[lo:hi])
+		c.fn(lo, hi, wid)
 	}
-}
-
-// run engages w workers on the prepared p.call and waits. Caller holds
-// p.mu and has filled the call descriptor.
-func (p *Pool) run(w int) {
-	p.start()
-	c := &p.call
-	c.wg.Add(w)
-	for i := 0; i < w; i++ {
-		p.calls <- c
-	}
-	c.wg.Wait()
-	// drop caller references so the pool doesn't pin inputs between calls
-	pv := c.panicVal
-	c.fn, c.m, c.inputs, c.faults, c.res, c.panicVal = nil, nil, nil, nil, nil, nil
-	if pv != nil {
-		panic(pv)
-	}
-}
-
-// planBatch picks the chunk size and worker count for an n-sample batch.
-// Chunks default to the 64-sample mask width (maximal scatter-row
-// amortization); when that would leave workers idle the planner cuts
-// smaller chunks — chunking is result-invariant (pinned by
-// TestInferBatchChunksLargeBatches), so this only trades amortization
-// for parallelism — with a floor of minParChunk samples.
-func (p *Pool) planBatch(n int) (chunk, workers int) {
-	chunk = maxChunk
-	nChunks := (n + chunk - 1) / chunk
-	w := p.workers
-	if w > 1 && nChunks < w*p.minChunks {
-		chunk = (n + w*p.minChunks - 1) / (w * p.minChunks)
-		if chunk < minParChunk {
-			chunk = minParChunk
-		}
-		if chunk > maxChunk {
-			chunk = maxChunk
-		}
-		nChunks = (n + chunk - 1) / chunk
-	}
-	if w > nChunks {
-		w = nChunks
-	}
-	return chunk, w
 }
 
 // Warm primes every worker's scratch for the given model and batch by
-// running the batch sequentially on each, plus the pool's result
-// backing. A sequential pass covers the buffer needs of any parallel
-// sub-chunk of the same samples (per-offset spike groups over a chunk
-// contain those of its sub-chunks), so after Warm, parallel calls on
-// same-shaped batches start at zero steady-state allocations no matter
-// which worker claims which chunk. snnserve calls this at startup.
+// running the batch sequentially on each on the clocked engine, plus
+// the pool's result backing. Any worker may claim any chunk, and a
+// whole-batch pass covers the buffer needs of every sub-range, so after
+// Warm, pooled clocked InferMany calls on same-shaped batches start at
+// zero steady-state allocations (the event and quant engines size
+// their own buffers on first use). snnserve calls this at startup.
 func (p *Pool) Warm(m *Model, inputs [][]float64, cfg RunConfig) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	res := p.takeResults(len(inputs))
 	for _, sc := range p.scr {
-		m.inferBatch(sc, inputs, cfg, nil)
+		m.inferRange(m.prepare(sc), inputs, cfg, nil, EngineClocked, res)
 	}
-	p.takeResults(len(inputs))
 }
 
 // takeResults returns a zeroed pool-owned result slice.
@@ -292,45 +232,77 @@ func (p *Pool) Each(n, chunk int, fn func(lo, hi, worker int)) {
 	if chunk <= 0 {
 		chunk = 1
 	}
-	nChunks := (n + chunk - 1) / chunk
-	if p != nil {
-		p.chunks.Add(uint64(nChunks))
-	}
-	w := p.Workers()
-	if w > nChunks {
-		w = nChunks
-	}
-	if p == nil || w <= 1 {
+	if p == nil || p.workers <= 1 || n <= chunk {
+		// One worker or one chunk: no fan-out, so no call lock either.
+		if p != nil {
+			p.chunks.Add(1 + uint64((n-1)/chunk))
+		}
 		eachSeq(n, chunk, fn)
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	p.each(n, chunk, fn)
+}
+
+// each is Each with p.mu held: it engages up to one worker per chunk
+// and waits, or runs fn on the caller's goroutine when one worker
+// suffices or the pool is closed.
+func (p *Pool) each(n, chunk int, fn func(lo, hi, worker int)) {
+	nChunks := (n + chunk - 1) / chunk
+	p.chunks.Add(uint64(nChunks))
+	w := min(p.workers, nChunks)
+	if w <= 1 || p.closed {
 		eachSeq(n, chunk, fn)
 		return
 	}
+	p.start()
 	c := &p.call
 	c.fn = fn
-	c.m, c.inputs, c.faults, c.res = nil, nil, nil, nil
 	c.n, c.chunk, c.nChunks = n, chunk, nChunks
 	c.next.Store(0)
-	p.run(w)
+	c.wg.Add(w)
+	for i := 0; i < w; i++ {
+		p.calls <- c
+	}
+	c.wg.Wait()
+	pv := c.panicVal
+	c.fn, c.panicVal = nil, nil
+	if pv != nil {
+		panic(pv)
+	}
 }
 
-// evalChunk sizes per-sample work-stealing chunks for evaluation-style
-// fan-out: about four chunks per worker keeps stealing effective when
-// per-sample cost varies (early firing, faults), capped at the batch
-// mask width.
+// inferMany is InferMany on the pool: the per-sample loop sharded in
+// work-stealing chunks over the workers' scratches, or run on the
+// caller's goroutine when the pool has one worker or is closed. The
+// results alias the pool's result backing and worker scratches until
+// the next call on the pool.
+func (p *Pool) inferMany(m *Model, inputs [][]float64, cfg RunConfig, faults []*fault.Stream, kind EngineKind) []Result {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// Any worker may claim any chunk, so every worker's arena rewinds
+	// once up front and each chunk lands in fresh arena space.
+	for _, sc := range p.scr {
+		m.prepare(sc)
+	}
+	n := len(inputs)
+	res := p.takeResults(n)
+	c := &p.many
+	c.m, c.inputs, c.cfg, c.faults, c.kind, c.res = m, inputs, cfg, faults, kind, res
+	// drop caller references so the pool doesn't pin inputs between calls
+	defer func() { c.m, c.inputs, c.faults, c.res = nil, nil, nil, nil }()
+	if n > 0 {
+		p.each(n, evalChunk(n, p.workers), p.manyFn)
+	}
+	return res
+}
+
+// evalChunk sizes per-sample work-stealing chunks: about four chunks
+// per worker keeps stealing effective when per-sample cost varies
+// (early firing, faults, early exit).
 func evalChunk(n, workers int) int {
-	c := n / (workers * 4)
-	if c < 1 {
-		c = 1
-	}
-	if c > maxChunk {
-		c = maxChunk
-	}
-	return c
+	return max(1, n/(workers*4))
 }
 
 func eachSeq(n, chunk int, fn func(lo, hi, worker int)) {
@@ -341,53 +313,4 @@ func eachSeq(n, chunk int, fn func(lo, hi, worker int)) {
 		}
 		fn(lo, hi, 0)
 	}
-}
-
-// InferBatchParallel is InferBatch sharded across p's workers: the batch
-// is split into chunks (64-sample mask width, cut smaller when needed to
-// engage every worker), each claimed by a worker running the standard
-// chunk pipeline on its own scratch. Results are bit-identical to the
-// sequential path at any worker count: chunking is result-invariant,
-// scratch reuse is bit-exact, and fault streams are pure functions of
-// (seed, sample, …) — no decision depends on execution order. Per-worker
-// scratches make the steady-state call allocation-free.
-//
-// The returned results alias pool memory: they are valid until the next
-// call on the same pool (copy Spikes/Potentials to retain them). A nil
-// pool falls back to the sequential InferBatch, whose results are
-// freshly allocated.
-//
-// Deprecated: use InferMany with InferOpts{Pool: p, Faults: faults}.
-func (m *Model) InferBatchParallel(p *Pool, inputs [][]float64, cfg RunConfig, faults []*fault.Stream) []Result {
-	return m.InferMany(inputs, cfg, InferOpts{Pool: p, Faults: faults})
-}
-
-// inferParallel shards the batch across p's workers (nil p runs it
-// sequentially on a fresh scratch). Validation happened in InferMany.
-func (m *Model) inferParallel(p *Pool, inputs [][]float64, cfg RunConfig, faults []*fault.Stream) []Result {
-	if p == nil {
-		return m.inferBatch(nil, inputs, cfg, faults)
-	}
-	n := len(inputs)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	chunk, w := p.planBatch(n)
-	nChunks := 0
-	if chunk > 0 {
-		nChunks = (n + chunk - 1) / chunk
-	}
-	p.chunks.Add(uint64(nChunks))
-	if w <= 1 || p.closed || n == 0 {
-		// Sequential fallback on worker 0's scratch: same zero-alloc
-		// steady state, same aliasing contract.
-		return m.inferBatch(p.scr[0], inputs, cfg, faults)
-	}
-	res := p.takeResults(n)
-	c := &p.call
-	c.fn = nil
-	c.m, c.inputs, c.cfg, c.faults, c.res = m, inputs, cfg, faults, res
-	c.n, c.chunk, c.nChunks = n, chunk, nChunks
-	c.next.Store(0)
-	p.run(w)
-	return res
 }

@@ -24,11 +24,10 @@ func parallelInputs(t testing.TB, n int, inj *fault.Injector) ([][]float64, []*f
 	return inputs, streams
 }
 
-// TestInferBatchParallelMatchesSequential is the tentpole differential:
-// the parallel path must be bit-identical to sequential InferBatch at
-// every worker count — including counts above the chunk count and
-// batches small enough to force sub-64 chunks — across pipeline
-// variants, with per-sample fault streams active.
+// TestInferBatchParallelMatchesSequential pins pooled InferMany against
+// the sequential loop at every worker count — including counts above
+// the chunk count — across pipeline variants, with per-sample fault
+// streams active.
 func TestInferBatchParallelMatchesSequential(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -41,8 +40,8 @@ func TestInferBatchParallelMatchesSequential(t *testing.T) {
 		for _, n := range []int{1, 10, 32, 70, 130} {
 			inputs, streams := parallelInputs(t, n, inj)
 			for ci, cfg := range scratchConfigs {
-				got := m.InferBatchParallel(p, inputs, cfg, streams)
-				want := m.InferBatch(inputs, cfg, streams)
+				got := m.InferMany(inputs, cfg, InferOpts{Pool: p, Faults: streams})
+				want := m.InferMany(inputs, cfg, InferOpts{Faults: streams})
 				if len(got) != len(want) {
 					t.Fatalf("w=%d n=%d cfg %d: %d results, want %d", workers, n, ci, len(got), len(want))
 				}
@@ -55,57 +54,52 @@ func TestInferBatchParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestInferBatchParallelMinChunksPerWorker checks the tuning knob cuts
-// finer chunks without changing results.
-func TestInferBatchParallelMinChunksPerWorker(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	inputs, _ := parallelInputs(t, 96, nil)
-	cfg := RunConfig{EarlyFire: true}
-	want := m.InferBatch(inputs, cfg, nil)
-	for _, mc := range []int{1, 2, 4} {
-		p := NewPool(ParallelOpts{Workers: 3, MinChunksPerWorker: mc})
-		got := m.InferBatchParallel(p, inputs, cfg, nil)
-		for i := range got {
-			sameResult(t, fmt.Sprintf("minChunks=%d sample %d", mc, i), got[i], want[i])
-		}
-		p.Close()
-	}
-}
-
-// TestInferBatchParallelNilPool pins the nil-pool fallback to plain
-// InferBatch (freshly allocated results).
+// TestInferBatchParallelNilPool pins the fallbacks: a nil pool and a
+// closed pool both run the per-sample loop sequentially.
 func TestInferBatchParallelNilPool(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
 	inputs, _ := parallelInputs(t, 5, nil)
 	cfg := RunConfig{}
-	got := m.InferBatchParallel(nil, inputs, cfg, nil)
-	want := m.InferBatch(inputs, cfg, nil)
-	for i := range got {
-		sameResult(t, fmt.Sprintf("sample %d", i), got[i], want[i])
+	closed := NewPool(ParallelOpts{Workers: 3})
+	closed.Close()
+	for _, p := range []*Pool{nil, closed} {
+		got := m.InferMany(inputs, cfg, InferOpts{Pool: p})
+		for i, in := range inputs {
+			sameResult(t, fmt.Sprintf("closed=%v sample %d", p != nil, i), got[i], m.Infer(in, cfg))
+		}
 	}
 }
 
-// TestInferBatchParallelZeroAllocs gates the per-worker arena claim:
-// once every worker's scratch is warm, a steady-state parallel batch —
-// including the fan-out machinery itself — allocates nothing.
+// TestInferBatchParallelZeroAllocs gates the per-worker arena claim on
+// every engine: once every worker's scratch is warm, a steady-state
+// pooled InferMany — including the fan-out machinery itself —
+// allocates nothing.
 func TestInferBatchParallelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates on multi-goroutine paths")
 	}
 	loadFixture(t)
 	m := fixture.model()
-	p := NewPool(ParallelOpts{Workers: 4})
-	defer p.Close()
 	inputs, _ := parallelInputs(t, 32, nil)
-	cfg := RunConfig{EarlyFire: true}
-	p.Warm(m, inputs, cfg) // deterministic: any worker can take any chunk
-	for i := 0; i < 2; i++ {
-		m.InferBatchParallel(p, inputs, cfg, nil)
-	}
-	if n := testing.AllocsPerRun(20, func() { m.InferBatchParallel(p, inputs, cfg, nil) }); n != 0 {
-		t.Errorf("InferBatchParallel allocates %.1f/op, want 0", n)
+	cfg := RunConfig{EarlyFire: true, EarlyExit: true}
+	for _, kind := range []EngineKind{EngineClocked, EngineEvent, EngineQuant} {
+		p := NewPool(ParallelOpts{Workers: 4})
+		p.Warm(m, inputs, cfg)
+		// Warm primes the clocked engine; the event and quant engines
+		// size their own buffers on first use, so give every worker's
+		// scratch a whole-batch pass on the engine under test.
+		for _, sc := range p.scr {
+			m.InferMany(inputs, cfg, InferOpts{Scratch: sc, Engine: kind})
+		}
+		opts := InferOpts{Pool: p, Engine: kind}
+		for i := 0; i < 2; i++ {
+			m.InferMany(inputs, cfg, opts)
+		}
+		if n := testing.AllocsPerRun(20, func() { m.InferMany(inputs, cfg, opts) }); n != 0 {
+			t.Errorf("engine %d: pooled InferMany allocates %.1f/op, want 0", kind, n)
+		}
+		p.Close()
 	}
 }
 
@@ -189,19 +183,19 @@ func TestPoolPanicPropagates(t *testing.T) {
 
 // TestInferBatchParallelStress is the -race stress: more workers than
 // chunks, a single worker, and concurrent Each traffic on a shared pool
-// interleaved with batch calls consumed under a caller lock (the serve
-// engine pattern).
+// interleaved with pooled InferMany calls consumed under a caller lock
+// (the serve engine pattern).
 func TestInferBatchParallelStress(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
 	cfg := RunConfig{EarlyFire: true}
 	inputs, _ := parallelInputs(t, 20, nil)
-	want := m.InferBatch(inputs, cfg, nil)
+	want := m.InferMany(inputs, cfg, InferOpts{})
 
 	// Workers far above the chunk count: only some claim work.
 	p8 := NewPool(ParallelOpts{Workers: 8})
 	for trial := 0; trial < 20; trial++ {
-		got := m.InferBatchParallel(p8, inputs, cfg, nil)
+		got := m.InferMany(inputs, cfg, InferOpts{Pool: p8})
 		for i := range got {
 			sameResult(t, fmt.Sprintf("w8 trial %d sample %d", trial, i), got[i], want[i])
 		}
@@ -210,7 +204,7 @@ func TestInferBatchParallelStress(t *testing.T) {
 
 	// Workers = 1 runs on the caller's goroutine.
 	p1 := NewPool(ParallelOpts{Workers: 1})
-	got := m.InferBatchParallel(p1, inputs, cfg, nil)
+	got := m.InferMany(inputs, cfg, InferOpts{Pool: p1})
 	for i := range got {
 		sameResult(t, fmt.Sprintf("w1 sample %d", i), got[i], want[i])
 	}
@@ -229,7 +223,7 @@ func TestInferBatchParallelStress(t *testing.T) {
 			for trial := 0; trial < 5; trial++ {
 				if g%2 == 0 {
 					batchMu.Lock()
-					rs := m.InferBatchParallel(shared, inputs, cfg, nil)
+					rs := m.InferMany(inputs, cfg, InferOpts{Pool: shared})
 					for i := range rs {
 						if rs[i].Pred != want[i].Pred {
 							t.Errorf("g%d trial %d sample %d: pred %d, want %d", g, trial, i, rs[i].Pred, want[i].Pred)
@@ -294,9 +288,10 @@ func TestEvaluatePoolMatchesSequential(t *testing.T) {
 	}
 }
 
-// BenchmarkInferBatchParallel sweeps worker counts over serving-sized
-// batches; ns/sample at workers=1 vs N quantifies the parallel win
-// (bounded by GOMAXPROCS — on a single-core host the counts tie).
+// BenchmarkInferBatchParallel sweeps worker counts of pooled InferMany
+// over serving-sized batches; ns/sample at workers=1 vs N quantifies the
+// parallel win (bounded by GOMAXPROCS — on a single-core host the
+// counts tie).
 func BenchmarkInferBatchParallel(b *testing.B) {
 	loadFixture(b)
 	m := fixture.model()
@@ -308,14 +303,14 @@ func BenchmarkInferBatchParallel(b *testing.B) {
 				p := NewPool(ParallelOpts{Workers: workers})
 				defer p.Close()
 				// Warm sizes every worker's arena for the whole batch (a
-				// worker may claim any subset of chunks on a given call),
+				// worker may claim any subset of samples on a given call),
 				// then one live call starts the goroutines.
 				p.Warm(m, inputs, cfg)
-				m.InferBatchParallel(p, inputs, cfg, nil)
+				m.InferMany(inputs, cfg, InferOpts{Pool: p})
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.InferBatchParallel(p, inputs, cfg, nil)
+					m.InferMany(inputs, cfg, InferOpts{Pool: p})
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/sample")
 			})

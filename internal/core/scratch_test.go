@@ -31,7 +31,7 @@ func TestInferWithMatchesInfer(t *testing.T) {
 	for ci, cfg := range scratchConfigs {
 		for i := 0; i < 8; i++ {
 			in := fixture.x.Data[i*256 : (i+1)*256]
-			got := m.InferWith(sc, in, cfg)
+			got := m.InferOne(in, cfg, InferOpts{Scratch: sc})
 			sameResult(t, fmt.Sprintf("cfg %d sample %d", ci, i), got, m.Infer(in, cfg))
 		}
 	}
@@ -55,14 +55,14 @@ func TestInferWithMatchesInferUnderFaults(t *testing.T) {
 		if i%2 == 1 { // faults on odd samples: mixed reuse of one scratch
 			run.Faults = inj.Sample(i)
 		}
-		got := m.InferWith(sc, in, run)
+		got := m.InferOne(in, run, InferOpts{Scratch: sc})
 		sameResult(t, fmt.Sprintf("faulted sample %d", i), got, m.Infer(in, run))
 	}
 }
 
-// TestInferBatchWithMatchesFresh pins batched scratch reuse: one scratch
-// across successive batches (including a >64-sample batch that spans
-// chunks) is bit-identical to nil-scratch InferBatch.
+// TestInferBatchWithMatchesFresh pins InferMany scratch reuse: one
+// scratch across successive batches of growing size is bit-identical to
+// nil-scratch InferMany.
 func TestInferBatchWithMatchesFresh(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -71,7 +71,7 @@ func TestInferBatchWithMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := NewInferScratch(m)
-	for _, n := range []int{1, 8, 70} { // 70 spans the 64-sample chunk mask
+	for _, n := range []int{1, 8, 70} {
 		inputs := make([][]float64, n)
 		streams := make([]*fault.Stream, n)
 		for i := range inputs {
@@ -81,10 +81,10 @@ func TestInferBatchWithMatchesFresh(t *testing.T) {
 			}
 		}
 		for ci, cfg := range scratchConfigs {
-			got := m.InferBatchWith(sc, inputs, cfg, streams)
+			got := m.InferMany(inputs, cfg, InferOpts{Scratch: sc, Faults: streams})
 			// build the reference with per-call streams: Stream state is
 			// deterministic per (sample, boundary), so reuse is safe
-			want := m.InferBatch(inputs, cfg, streams)
+			want := m.InferMany(inputs, cfg, InferOpts{Faults: streams})
 			if len(got) != len(want) {
 				t.Fatalf("n=%d cfg %d: %d results, want %d", n, ci, len(got), len(want))
 			}
@@ -108,16 +108,16 @@ func TestScratchSharedAcrossModels(t *testing.T) {
 	sc := NewInferScratch(small) // sized small, must grow for big
 	tinyIn := []float64{0.9, 0.5, 0.2}
 	cfg := RunConfig{EarlyFire: true}
-	got := small.InferWith(sc, tinyIn, cfg)
+	got := small.InferOne(tinyIn, cfg, InferOpts{Scratch: sc})
 	sameResult(t, "small before grow", got, small.Infer(tinyIn, cfg))
 	bigIn := fixture.x.Data[:256]
-	got = big.InferWith(sc, bigIn, cfg)
+	got = big.InferOne(bigIn, cfg, InferOpts{Scratch: sc})
 	sameResult(t, "big after grow", got, big.Infer(bigIn, cfg))
-	got = small.InferWith(sc, tinyIn, cfg)
+	got = small.InferOne(tinyIn, cfg, InferOpts{Scratch: sc})
 	sameResult(t, "small after big", got, small.Infer(tinyIn, cfg))
 
-	batch := small.InferBatchWith(sc, [][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, nil)
-	want := small.InferBatch([][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, nil)
+	batch := small.InferMany([][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, InferOpts{Scratch: sc})
+	want := small.InferMany([][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, InferOpts{})
 	for i := range batch {
 		sameResult(t, fmt.Sprintf("tiny batch %d", i), batch[i], want[i])
 	}
@@ -164,11 +164,11 @@ func TestInferWithRandomNets(t *testing.T) {
 				in[j] = rng.Float64()
 			}
 			inputs[i] = in
-			got := m.InferWith(sc, in, cfg)
+			got := m.InferOne(in, cfg, InferOpts{Scratch: sc})
 			sameResult(t, fmt.Sprintf("trial %d sample %d", trial, i), got, m.Infer(in, cfg))
 		}
-		batch := m.InferBatchWith(sc, inputs, cfg, nil)
-		want := m.InferBatch(inputs, cfg, nil)
+		batch := m.InferMany(inputs, cfg, InferOpts{Scratch: sc})
+		want := m.InferMany(inputs, cfg, InferOpts{})
 		for i := range batch {
 			sameResult(t, fmt.Sprintf("trial %d batch %d", trial, i), batch[i], want[i])
 		}
@@ -194,15 +194,15 @@ func TestInferWithZeroAllocs(t *testing.T) {
 	in := fixture.x.Data[:256]
 	for _, cfg := range []RunConfig{{}, {EarlyFire: true}} {
 		cfg := cfg
-		m.InferWith(sc, in, cfg) // warm plan + arenas
-		if n := testing.AllocsPerRun(20, func() { m.InferWith(sc, in, cfg) }); n != 0 {
-			t.Errorf("InferWith(earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
+		m.InferOne(in, cfg, InferOpts{Scratch: sc}) // warm plan + arenas
+		if n := testing.AllocsPerRun(20, func() { m.InferOne(in, cfg, InferOpts{Scratch: sc}) }); n != 0 {
+			t.Errorf("InferOne(earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
 		}
 	}
 }
 
-// TestInferBatchWithZeroAllocs is the batched gate: steady-state batches
-// reuse every buffer, including the result slice itself.
+// TestInferBatchWithZeroAllocs is the InferMany gate: steady-state
+// batches reuse every buffer, including the result slice itself.
 func TestInferBatchWithZeroAllocs(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -212,11 +212,11 @@ func TestInferBatchWithZeroAllocs(t *testing.T) {
 		inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
 	}
 	cfg := RunConfig{EarlyFire: true}
-	for i := 0; i < 3; i++ { // warm: plan, arenas, perOff lists
-		m.InferBatchWith(sc, inputs, cfg, nil)
+	for i := 0; i < 3; i++ { // warm: plan, arenas, buckets
+		m.InferMany(inputs, cfg, InferOpts{Scratch: sc})
 	}
-	if n := testing.AllocsPerRun(20, func() { m.InferBatchWith(sc, inputs, cfg, nil) }); n != 0 {
-		t.Errorf("InferBatchWith allocates %.1f/op, want 0", n)
+	if n := testing.AllocsPerRun(20, func() { m.InferMany(inputs, cfg, InferOpts{Scratch: sc}) }); n != 0 {
+		t.Errorf("InferMany allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -235,34 +235,11 @@ func BenchmarkInfer(b *testing.B) {
 	})
 	b.Run("scratch", func(b *testing.B) {
 		sc := NewInferScratch(m)
-		m.InferWith(sc, in, cfg)
+		m.InferOne(in, cfg, InferOpts{Scratch: sc})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.InferWith(sc, in, cfg)
+			m.InferOne(in, cfg, InferOpts{Scratch: sc})
 		}
 	})
-}
-
-// BenchmarkInferBatchScratch is BenchmarkInferBatch with a reused
-// scratch — the serving layer's steady state.
-func BenchmarkInferBatchScratch(b *testing.B) {
-	loadFixture(b)
-	m := fixture.model()
-	for _, size := range []int{1, 8, 32} {
-		inputs := make([][]float64, size)
-		for i := range inputs {
-			inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
-		}
-		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
-			sc := NewInferScratch(m)
-			m.InferBatchWith(sc, inputs, RunConfig{EarlyFire: true}, nil)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.InferBatchWith(sc, inputs, RunConfig{EarlyFire: true}, nil)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/sample")
-		})
-	}
 }

@@ -249,35 +249,10 @@ func (m *Model) Infer(input []float64, cfg RunConfig) Result {
 	return m.InferOne(input, cfg, InferOpts{})
 }
 
-// InferWith is Infer against an explicit scratch arena: all working
-// buffers and the returned Result's Spikes/Potentials slices come from
-// sc, so the steady-state call allocates nothing (see InferScratch for
-// the aliasing contract). A nil sc falls back to a fresh single-use
-// scratch, making it exactly Infer. Results are bit-identical either
-// way: reused buffers are reset to the same state fresh allocations
-// start in, and no floating-point operation changes order.
-//
-// Deprecated: use InferOne with InferOpts{Scratch: sc}.
-func (m *Model) InferWith(sc *InferScratch, input []float64, cfg RunConfig) Result {
-	return m.InferOne(input, cfg, InferOpts{Scratch: sc})
-}
-
-// inferClocked is the clocked engine's entry: scratch setup, then the
-// step-swept pipeline.
-func (m *Model) inferClocked(sc *InferScratch, input []float64, cfg RunConfig) Result {
-	if sc == nil {
-		sc = NewInferScratch(m)
-	} else {
-		sc.ensure(m)
-	}
-	sc.reset()
-	return m.inferClockedBody(sc, input, cfg)
-}
-
 // inferClockedBody runs the clocked pipeline on a prepared scratch
-// without rewinding its arenas, so multi-sample drivers (and the event
-// engine's threshold-noise fallback) can run several samples against
-// one scratch with every Result staying valid.
+// without rewinding its arenas, so InferMany (and the event engine's
+// threshold-noise fallback) can run several samples against one
+// scratch with every Result staying valid.
 func (m *Model) inferClockedBody(sc *InferScratch, input []float64, cfg RunConfig) Result {
 	if len(input) != m.Net.InLen {
 		panic(fmt.Sprintf("core: input length %d, want %d", len(input), m.Net.InLen))
@@ -467,17 +442,6 @@ func decodeTable(k kernel.Kernel, t int) []float64 {
 		dec[i] = k.Decode(i)
 	}
 	return dec
-}
-
-// bucketize groups spike indices by their time offset.
-func bucketize(times []int, t int) [][]int {
-	buckets := make([][]int, t)
-	for idx, off := range times {
-		if off >= 0 && off < t {
-			buckets[off] = append(buckets[off], idx)
-		}
-	}
-	return buckets
 }
 
 // SpikeEvent is one (neuron, global time) spike for waveform export.

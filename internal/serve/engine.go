@@ -1,10 +1,10 @@
 // Package serve is the batched inference serving layer: a stdlib-only
 // HTTP server that queues single-sample requests, forms micro-batches
 // (up to MaxBatch samples or MaxWait, whichever first), and executes
-// them on the batched T2FSNN engine (core.InferBatch) or any
-// coding.Scheme. On a single core the win is amortization, not
-// parallelism — see core.InferBatch — so batching still buys ≥2×
-// throughput (pinned by make serve-smoke via cmd/snnload).
+// them on a T2FSNN engine (core.InferMany) or any coding.Scheme. A
+// micro-batch runs as a per-sample loop, sharded across a core.Pool's
+// workers when the engine has one, so batching bounds queueing and
+// dispatch overhead; it does not make a single inference cheaper.
 //
 // The scheduler guarantees the served predictions are bit-identical to
 // direct core.Evaluate over the same samples (pinned by the golden test
@@ -119,24 +119,25 @@ type ChunkReporter interface {
 	ParallelChunks() uint64
 }
 
-// TTFSEngine serves a T2FSNN core.Model through core.InferBatch — the
-// batched path whose scatter-row amortization makes micro-batching pay.
+// TTFSEngine serves a T2FSNN core.Model on the clocked engine. It is
+// batch-only for one-shot traffic (no SingleEngine): micro-batches run
+// through core.InferMany, sharded across Pool's workers when set.
 type TTFSEngine struct {
 	Model *core.Model
 	Run   core.RunConfig
 	// Faults optionally injects deterministic per-sample faults keyed by
 	// the request's sample index.
 	Faults *fault.Injector
-	// Pool hands whole micro-batches to the data-parallel path
-	// (core.InferBatchParallel) with one scratch arena per pool worker;
-	// nil (or a single-worker pool) keeps the single-goroutine amortized
-	// path below. Give each engine its own pool.
+	// Pool shards each micro-batch's samples across the pool's workers
+	// (core.InferOpts.Pool), one scratch arena per worker; nil (or a
+	// single-worker pool) runs the batch on one pooled scratch. Give
+	// each engine its own pool.
 	Pool *core.Pool
 
-	// poolMu serializes parallel batches so result extraction (which
+	// poolMu serializes pooled batches so result extraction (which
 	// reads pool-owned memory) finishes before the next call overwrites
-	// it — the coordination core.Pool requires of concurrent
-	// InferBatchParallel callers.
+	// it — the coordination core.Pool requires of concurrent pooled
+	// InferMany callers.
 	poolMu sync.Mutex
 
 	// scratch pools per-worker inference arenas so steady-state batches
@@ -155,92 +156,118 @@ func (e *TTFSEngine) Classes() int {
 // EngineDesc implements EngineDescriber.
 func (e *TTFSEngine) EngineDesc() string { return "clocked" }
 
+func (e *TTFSEngine) core() coreEngine {
+	return coreEngine{e.Model, e.Run, e.Faults, core.EngineClocked, &e.scratch}
+}
+
 // InferBatch implements Engine.
 func (e *TTFSEngine) InferBatch(inputs [][]float64, samples []int) []Prediction {
-	var fs []*fault.Stream
-	if e.Faults != nil {
-		fs = make([]*fault.Stream, len(inputs))
-		for i, idx := range samples {
-			if idx >= 0 {
-				fs[i] = e.Faults.Sample(idx)
-			}
-		}
-	}
 	if e.Pool.Workers() > 1 {
 		e.poolMu.Lock()
 		defer e.poolMu.Unlock()
-		return corePredictions(e.Model.InferMany(inputs, e.Run, core.InferOpts{Pool: e.Pool, Faults: fs}))
+		return e.core().batch(inputs, samples, e.Pool)
 	}
-	sc, _ := e.scratch.Get().(*core.InferScratch)
-	if sc == nil {
-		sc = core.NewInferScratch(e.Model)
-	}
-	preds := corePredictions(e.Model.InferMany(inputs, e.Run, core.InferOpts{Scratch: sc, Faults: fs}))
-	e.scratch.Put(sc)
-	return preds
+	return e.core().batch(inputs, samples, nil)
 }
 
 // ParallelChunks implements ChunkReporter (0 without a pool).
 func (e *TTFSEngine) ParallelChunks() uint64 { return e.Pool.Chunks() }
 
 // InferFrame implements FrameEngine on the clocked engine: a stream
-// frame runs single-sample on a pooled scratch (TTFSEngine deliberately
-// stays batch-only for one-shot traffic; a session's frames arrive one
-// at a time, so there is no batch to form).
+// frame runs single-sample on a pooled scratch (a session's frames
+// arrive one at a time, so there is no batch to form).
 func (e *TTFSEngine) InferFrame(input []float64, sample int, timeline bool) FrameResult {
-	sc, _ := e.scratch.Get().(*core.InferScratch)
-	if sc == nil {
-		sc = core.NewInferScratch(e.Model)
+	return e.core().infer(input, sample, true, timeline)
+}
+
+// coreEngine is the one inference sequence behind the engines that
+// serve a core.Model (TTFSEngine, EventEngine, QuantEngine), keyed by
+// the core engine kind: check a scratch out of the engine's sync.Pool,
+// derive each sample's fault stream, run core, copy the result out of
+// the scratch arenas, and put the scratch back.
+type coreEngine struct {
+	model   *core.Model
+	run     core.RunConfig
+	faults  *fault.Injector
+	kind    core.EngineKind
+	scratch *sync.Pool
+}
+
+func (c coreEngine) getScratch() *core.InferScratch {
+	if sc, ok := c.scratch.Get().(*core.InferScratch); ok {
+		return sc
 	}
-	cfg := e.Run
-	cfg.CollectTimeline = timeline
-	if e.Faults != nil && sample >= 0 {
-		cfg.Faults = e.Faults.Sample(sample)
+	return core.NewInferScratch(c.model)
+}
+
+// stream derives the fault stream of a request's sample index (nil
+// without an injector or for a negative index).
+func (c coreEngine) stream(sample int) *fault.Stream {
+	if c.faults == nil || sample < 0 {
+		return nil
 	}
-	r := e.Model.InferOne(input, cfg, core.InferOpts{Scratch: sc})
-	fr := coreFrameResult(r)
-	e.scratch.Put(sc)
+	return c.faults.Sample(sample)
+}
+
+// infer runs one sample. A frame also carries the per-stage spike counts
+// and collects the argmax timeline when asked; the prediction is the
+// same either way.
+func (c coreEngine) infer(input []float64, sample int, frame, timeline bool) FrameResult {
+	sc := c.getScratch()
+	cfg := c.run
+	if frame {
+		cfg.CollectTimeline = timeline
+	}
+	cfg.Faults = c.stream(sample)
+	r := c.model.InferOne(input, cfg, core.InferOpts{Scratch: sc, Engine: c.kind})
+	fr := FrameResult{Prediction: corePrediction(r)}
+	if frame {
+		fr.StageSpikes = append([]int(nil), r.Spikes...)
+		fr.Timeline = append([]core.TimedPred(nil), r.Timeline...)
+	}
+	c.scratch.Put(sc)
 	return fr
 }
 
-// coreFrameResult converts one core result into a frame result, copying
-// every slice out of the scratch arenas it may alias.
-func coreFrameResult(r core.Result) FrameResult {
-	return FrameResult{
-		Prediction: Prediction{
-			Pred:        r.Pred,
-			Latency:     r.Latency,
-			TotalSpikes: r.TotalSpikes,
-			Potentials:  append([]float64(nil), r.Potentials...),
-			EarlyExit:   r.EarlyExit,
-			EventsSaved: r.EventsSaved,
-		},
-		StageSpikes: append([]int(nil), r.Spikes...),
-		Timeline:    append([]core.TimedPred(nil), r.Timeline...),
+// batch runs a micro-batch through core.InferMany: on pool when given
+// (the caller serializes pooled batches), else on one pooled scratch.
+func (c coreEngine) batch(inputs [][]float64, samples []int, pool *core.Pool) []Prediction {
+	var fs []*fault.Stream
+	if c.faults != nil {
+		fs = make([]*fault.Stream, len(inputs))
+		for i, idx := range samples {
+			fs[i] = c.stream(idx)
+		}
 	}
-}
-
-// corePredictions converts batch results into predictions, copying
-// Potentials out of the scratch/pool arenas they alias.
-func corePredictions(rs []core.Result) []Prediction {
+	opts := core.InferOpts{Pool: pool, Faults: fs, Engine: c.kind}
+	if pool == nil {
+		opts.Scratch = c.getScratch()
+		defer c.scratch.Put(opts.Scratch)
+	}
+	rs := c.model.InferMany(inputs, c.run, opts)
 	preds := make([]Prediction, len(rs))
 	for i, r := range rs {
-		preds[i] = Prediction{
-			Pred:        r.Pred,
-			Latency:     r.Latency,
-			TotalSpikes: r.TotalSpikes,
-			Potentials:  append([]float64(nil), r.Potentials...),
-			EarlyExit:   r.EarlyExit,
-			EventsSaved: r.EventsSaved,
-		}
+		preds[i] = corePrediction(r)
 	}
 	return preds
 }
 
+// corePrediction converts one core result into a prediction, copying
+// Potentials out of the scratch/pool arenas they alias.
+func corePrediction(r core.Result) Prediction {
+	return Prediction{
+		Pred:        r.Pred,
+		Latency:     r.Latency,
+		TotalSpikes: r.TotalSpikes,
+		Potentials:  append([]float64(nil), r.Potentials...),
+		EarlyExit:   r.EarlyExit,
+		EventsSaved: r.EventsSaved,
+	}
+}
+
 // SchemeEngine serves any coding.Scheme (rate, phase, burst, or the
-// TTFS adapter) over a converted network. Schemes have no batched
-// execution path, so batches run sample-by-sample: batching still
-// bounds queueing overhead but brings no amortization win.
+// TTFS adapter) over a converted network. Batches run sample-by-sample,
+// fanned across Pool's workers when set.
 type SchemeEngine struct {
 	Net    *snn.Net
 	Scheme coding.Scheme

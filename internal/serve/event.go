@@ -16,10 +16,10 @@ import (
 // faults, where threshold noise transparently falls back to the clocked
 // sweep inside core.
 //
-// There is no batched event path (the engine's value is per-sample
-// latency, not amortization), so InferBatch loops InferOne; a server
-// that mostly sees batch traffic should serve a TTFSEngine instead and
-// reserve EventEngine for MaxBatch==1 / latency-mode deployments.
+// InferBatch runs the batch sample-by-sample on one pooled scratch; a
+// server that mostly sees batch traffic gains nothing from it over a
+// TTFSEngine, so reserve EventEngine for MaxBatch==1 / latency-mode
+// deployments.
 type EventEngine struct {
 	Model *core.Model
 	// Run is the per-sample configuration; Run.EarlyExit enables the
@@ -45,29 +45,14 @@ func (e *EventEngine) Classes() int {
 // EngineDesc implements EngineDescriber.
 func (e *EventEngine) EngineDesc() string { return "event" }
 
+func (e *EventEngine) core() coreEngine {
+	return coreEngine{e.Model, e.Run, e.Faults, core.EngineEvent, &e.scratch}
+}
+
 // InferOne implements SingleEngine. Safe for concurrent use: every call
 // checks a scratch arena out of the pool for its whole duration.
 func (e *EventEngine) InferOne(input []float64, sample int) Prediction {
-	sc, _ := e.scratch.Get().(*core.InferScratch)
-	if sc == nil {
-		sc = core.NewInferScratch(e.Model)
-	}
-	cfg := e.Run
-	if e.Faults != nil && sample >= 0 {
-		cfg.Faults = e.Faults.Sample(sample)
-	}
-	r := e.Model.InferOne(input, cfg, core.InferOpts{Scratch: sc, Engine: core.EngineEvent})
-	p := Prediction{
-		Pred:        r.Pred,
-		Latency:     r.Latency,
-		TotalSpikes: r.TotalSpikes,
-		// copied: r.Potentials aliases the pooled scratch
-		Potentials:  append([]float64(nil), r.Potentials...),
-		EarlyExit:   r.EarlyExit,
-		EventsSaved: r.EventsSaved,
-	}
-	e.scratch.Put(sc)
-	return p
+	return e.core().infer(input, sample, false, false).Prediction
 }
 
 // InferFrame implements FrameEngine. Collecting a timeline disables the
@@ -75,41 +60,12 @@ func (e *EventEngine) InferOne(input []float64, sample int) Prediction {
 // but the prediction is identical either way — core's early-exit
 // contract — so streamed decisions match one-shot ones bit for bit.
 func (e *EventEngine) InferFrame(input []float64, sample int, timeline bool) FrameResult {
-	sc, _ := e.scratch.Get().(*core.InferScratch)
-	if sc == nil {
-		sc = core.NewInferScratch(e.Model)
-	}
-	cfg := e.Run
-	cfg.CollectTimeline = timeline
-	if e.Faults != nil && sample >= 0 {
-		cfg.Faults = e.Faults.Sample(sample)
-	}
-	r := e.Model.InferOne(input, cfg, core.InferOpts{Scratch: sc, Engine: core.EngineEvent})
-	fr := coreFrameResult(r)
-	e.scratch.Put(sc)
-	return fr
+	return e.core().infer(input, sample, true, timeline)
 }
 
 // InferBatch implements Engine by running the batch sample-by-sample on
 // one pooled scratch (results are independent of grouping by the
 // single-sample contract).
 func (e *EventEngine) InferBatch(inputs [][]float64, samples []int) []Prediction {
-	sc, _ := e.scratch.Get().(*core.InferScratch)
-	if sc == nil {
-		sc = core.NewInferScratch(e.Model)
-	}
-	var fs []*fault.Stream
-	if e.Faults != nil {
-		fs = make([]*fault.Stream, len(inputs))
-		for i, idx := range samples {
-			if idx >= 0 {
-				fs[i] = e.Faults.Sample(idx)
-			}
-		}
-	}
-	preds := corePredictions(e.Model.InferMany(inputs, e.Run, core.InferOpts{
-		Scratch: sc, Faults: fs, Engine: core.EngineEvent,
-	}))
-	e.scratch.Put(sc)
-	return preds
+	return e.core().batch(inputs, samples, nil)
 }

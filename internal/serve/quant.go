@@ -22,8 +22,7 @@ import (
 // cannot fit the int32 accumulator fall back to the float64 sweep
 // transparently (fault streams are pure, so the re-run is exact).
 //
-// Like the event engine there is no batched fixed-point path —
-// InferBatch loops InferOne on one pooled scratch.
+// InferBatch runs the batch sample-by-sample on one pooled scratch.
 type QuantEngine struct {
 	Model *core.Model
 	// Run is the per-sample configuration shared by every request.
@@ -48,67 +47,25 @@ func (e *QuantEngine) Classes() int {
 // EngineDesc implements EngineDescriber.
 func (e *QuantEngine) EngineDesc() string { return "quant" }
 
+func (e *QuantEngine) core() coreEngine {
+	return coreEngine{e.Model, e.Run, e.Faults, core.EngineQuant, &e.scratch}
+}
+
 // InferOne implements SingleEngine. Safe for concurrent use: every call
 // checks a scratch arena out of the pool for its whole duration, and
 // the shared SoA plans are immutable after their once-build.
 func (e *QuantEngine) InferOne(input []float64, sample int) Prediction {
-	sc, _ := e.scratch.Get().(*core.InferScratch)
-	if sc == nil {
-		sc = core.NewInferScratch(e.Model)
-	}
-	cfg := e.Run
-	if e.Faults != nil && sample >= 0 {
-		cfg.Faults = e.Faults.Sample(sample)
-	}
-	r := e.Model.InferOne(input, cfg, core.InferOpts{Scratch: sc, Engine: core.EngineQuant})
-	p := Prediction{
-		Pred:        r.Pred,
-		Latency:     r.Latency,
-		TotalSpikes: r.TotalSpikes,
-		// copied: r.Potentials aliases the pooled scratch
-		Potentials: append([]float64(nil), r.Potentials...),
-	}
-	e.scratch.Put(sc)
-	return p
+	return e.core().infer(input, sample, false, false).Prediction
 }
 
 // InferFrame implements FrameEngine on the fixed-point engine.
 func (e *QuantEngine) InferFrame(input []float64, sample int, timeline bool) FrameResult {
-	sc, _ := e.scratch.Get().(*core.InferScratch)
-	if sc == nil {
-		sc = core.NewInferScratch(e.Model)
-	}
-	cfg := e.Run
-	cfg.CollectTimeline = timeline
-	if e.Faults != nil && sample >= 0 {
-		cfg.Faults = e.Faults.Sample(sample)
-	}
-	r := e.Model.InferOne(input, cfg, core.InferOpts{Scratch: sc, Engine: core.EngineQuant})
-	fr := coreFrameResult(r)
-	e.scratch.Put(sc)
-	return fr
+	return e.core().infer(input, sample, true, timeline)
 }
 
 // InferBatch implements Engine by running the batch sample-by-sample on
 // one pooled scratch (results are independent of grouping by the
 // single-sample contract).
 func (e *QuantEngine) InferBatch(inputs [][]float64, samples []int) []Prediction {
-	sc, _ := e.scratch.Get().(*core.InferScratch)
-	if sc == nil {
-		sc = core.NewInferScratch(e.Model)
-	}
-	var fs []*fault.Stream
-	if e.Faults != nil {
-		fs = make([]*fault.Stream, len(inputs))
-		for i, idx := range samples {
-			if idx >= 0 {
-				fs[i] = e.Faults.Sample(idx)
-			}
-		}
-	}
-	preds := corePredictions(e.Model.InferMany(inputs, e.Run, core.InferOpts{
-		Scratch: sc, Faults: fs, Engine: core.EngineQuant,
-	}))
-	e.scratch.Put(sc)
-	return preds
+	return e.core().batch(inputs, samples, nil)
 }

@@ -20,8 +20,7 @@ var ErrClosed = errors.New("serve: server closed")
 
 // Options configures the micro-batching scheduler.
 type Options struct {
-	// MaxBatch is the largest batch handed to the engine (default 16 —
-	// where core.InferBatch's amortization win saturates on one core).
+	// MaxBatch is the largest batch handed to the engine (default 16).
 	MaxBatch int
 	// MaxWait bounds how long the first request of a batch waits for
 	// company before the batch is dispatched anyway (default 2ms).
